@@ -148,8 +148,8 @@ Status TaskPool::RunMorsels(int64_t num_morsels, int max_participants,
   job.trace = TraceContext::CurrentBinding();
 
   // Serial inline path: same morsel decomposition, same failpoint site,
-  // zero scheduling. Results are identical to the parallel path by the
-  // engine's deterministic morsel-order merge, so callers may flip thread
+  // zero scheduling. The engine's scans produce identical results on this
+  // path and the parallel one (DESIGN.md §7), so callers may flip thread
   // counts freely.
   if (max_participants == 1 || num_morsels == 1 || workers_.empty()) {
     for (int64_t m = 0; m < num_morsels; ++m) {

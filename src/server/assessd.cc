@@ -349,18 +349,18 @@ void AssessServer::AcceptLoop() {
 
 void AssessServer::ReapFinishedConnections() {
   std::lock_guard<std::mutex> lock(conn_mutex_);
-  auto finished = [](const std::unique_ptr<Connection>& conn) {
-    return conn->done.load();
-  };
-  for (const auto& conn : connections_) {
-    if (finished(conn)) {
-      if (conn->reader.joinable()) conn->reader.join();
-      CloseSocket(conn->fd);
+  // Read `done` once per connection: a reader that finishes between a join
+  // pass and a separate erase pass would be destroyed unjoined.
+  for (auto it = connections_.begin(); it != connections_.end();) {
+    Connection& conn = **it;
+    if (!conn.done.load()) {
+      ++it;
+      continue;
     }
+    if (conn.reader.joinable()) conn.reader.join();
+    CloseSocket(conn.fd);
+    it = connections_.erase(it);
   }
-  connections_.erase(
-      std::remove_if(connections_.begin(), connections_.end(), finished),
-      connections_.end());
 }
 
 void AssessServer::ReaderLoop(Connection* conn) {

@@ -10,10 +10,14 @@ namespace assess {
 namespace simd_detail {
 void FusedScanSse42(const FusedScanArgs& args, int64_t begin, int64_t end,
                     AggState* state);
+void OwnedScanSse42(const FusedScanArgs& args, int64_t begin, int64_t end,
+                    const KeyPartition& part, OwnedAggState* state);
 void MinMaxInt32Sse42(const int32_t* values, int64_t n, int32_t* min_out,
                       int32_t* max_out);
 void FusedScanAvx2(const FusedScanArgs& args, int64_t begin, int64_t end,
                    AggState* state);
+void OwnedScanAvx2(const FusedScanArgs& args, int64_t begin, int64_t end,
+                   const KeyPartition& part, OwnedAggState* state);
 void MinMaxInt32Avx2(const int32_t* values, int64_t n, int32_t* min_out,
                      int32_t* max_out);
 }  // namespace simd_detail
@@ -27,7 +31,22 @@ void FusedScanScalar(const FusedScanArgs& args, int64_t begin, int64_t end,
                                                          state);
 }
 
+void OwnedScanScalar(const FusedScanArgs& args, int64_t begin, int64_t end,
+                     const KeyPartition& part, OwnedAggState* state) {
+  kernel_detail::OwnedScanImpl<kernel_detail::IsaScalar>(args, begin, end,
+                                                         part, state);
+}
+
 }  // namespace
+
+SimdLevel CompiledSimdLevel(SimdLevel level) {
+#if defined(ASSESS_SIMD_X86)
+  return level;
+#else
+  (void)level;
+  return SimdLevel::kScalar;
+#endif
+}
 
 FusedScanFn GetFusedScanKernel(SimdLevel level) {
 #if defined(ASSESS_SIMD_X86)
@@ -43,6 +62,35 @@ FusedScanFn GetFusedScanKernel(SimdLevel level) {
   (void)level;
 #endif
   return &FusedScanScalar;
+}
+
+OwnedScanFn GetOwnedScanKernel(SimdLevel level) {
+#if defined(ASSESS_SIMD_X86)
+  switch (level) {
+    case SimdLevel::kAVX2:
+      return &simd_detail::OwnedScanAvx2;
+    case SimdLevel::kSSE42:
+      return &simd_detail::OwnedScanSse42;
+    case SimdLevel::kScalar:
+      break;
+  }
+#else
+  (void)level;
+#endif
+  return &OwnedScanScalar;
+}
+
+void InitOwnedAggState(const FusedScanArgs& args, const KeyPartition& part,
+                       OwnedAggState* state) {
+  const size_t slots = part.Slots(args.key_space);
+  state->seen.assign(slots, 0);
+  state->acc.resize(args.measures.size());
+  state->cnt.resize(args.measures.size());
+  for (size_t m = 0; m < args.measures.size(); ++m) {
+    state->acc[m].assign(
+        slots, kernel_detail::InitialAccumulator(args.measures[m].op));
+    if (args.measures[m].op == AggOp::kAvg) state->cnt[m].assign(slots, 0);
+  }
 }
 
 void MinMaxInt32(SimdLevel level, const int32_t* values, int64_t n,

@@ -6,12 +6,18 @@
 // scan_kernels_sse42.cc / scan_kernels_avx2.cc built with the matching -m
 // flags — the __SSE4_2__/__AVX2__ guards below see those flags).
 //
-// The tier-specific code is confined to two primitives:
+// The tier-specific code is confined to three primitives:
 //   Isa::ComputeKeys      — group keys + pass bitmap for a run of rows
+//   Isa::ClaimKeys        — key ownership + slots of the owner-partitioned
+//                           kernel (KeyPartition's exact quotient in every
+//                           tier)
 //   Isa::LaneAccumulate   — the no-group-by fixed-lane partial accumulators
 // Everything stateful — dense group assignment, first-seen coordinate
-// decode, measure accumulation — is the shared scalar code below, executed
-// in row order in every tier, which is what makes the tiers bit-identical.
+// decode, key ownership, measure accumulation — is the shared scalar code
+// below, executed in row order in every tier, which is what makes the tiers
+// bit-identical. Two bodies are instantiated per tier: FusedScanImpl (one
+// morsel into its own partial) and OwnedScanImpl (one key partition's rows
+// of a morsel into accumulators indexed by key slot).
 
 #include <algorithm>
 #include <array>
@@ -74,12 +80,56 @@ inline void ComputeKeysScalar(const std::vector<KernelColumn>& cols,
   }
 }
 
+/// Scalar reference for the owner-partitioned claim over keys [i0, n):
+/// every key rewritten into its KeyPartition slot, the pass bits of keys
+/// the partition does not own cleared. Also the tail path of the AVX2 tier.
+inline void ClaimKeysScalar(const KeyPartition& part, uint32_t* keys,
+                            int64_t i0, int64_t n, uint64_t* bitmap) {
+  for (int64_t i = i0; i < n; ++i) {
+    const uint64_t owned = part.Claim(&keys[i]) ? 1 : 0;
+    bitmap[i >> 6] &= ~((owned ^ 1) << (i & 63));
+  }
+}
+
+/// Folds source row `r` of every measure into accumulator slot `slot` —
+/// the one floating-point accumulate every dense path (per-morsel and
+/// owner-partitioned, every tier) shares, so a slot that sees the same rows
+/// in the same order holds the same bits whichever path filled it.
+/// `cnt[m]` is touched for avg measures only.
+inline void FoldMeasures(const FusedScanArgs& args, uint32_t slot, int64_t r,
+                         std::vector<std::vector<double>>& acc,
+                         std::vector<std::vector<int64_t>>& cnt) {
+  const int num_measures = static_cast<int>(args.measures.size());
+  for (int m = 0; m < num_measures; ++m) {
+    const KernelMeasure& km = args.measures[m];
+    const double v = km.source != nullptr ? km.source[r] : 0.0;
+    switch (km.op) {
+      case AggOp::kSum:
+        acc[m][slot] += v;
+        break;
+      case AggOp::kAvg:
+        acc[m][slot] += v;
+        cnt[m][slot] += 1;
+        break;
+      case AggOp::kMin:
+        acc[m][slot] = std::min(acc[m][slot], v);
+        break;
+      case AggOp::kMax:
+        acc[m][slot] = std::max(acc[m][slot], v);
+        break;
+      case AggOp::kCount:
+        acc[m][slot] += 1;
+        break;
+    }
+  }
+}
+
 /// Folds one passing row into `state`: first-seen group assignment through
 /// the dense key→group array, coordinate decode from the key, then the
-/// measure accumulate. The single definition every dense path shares — the
-/// block-staged vector tiers and the single-pass scalar tier both funnel
-/// passing rows through here in row order, which is what makes them
-/// bit-identical.
+/// measure accumulate. The single definition every per-morsel dense path
+/// shares — the block-staged vector tiers and the single-pass scalar tier
+/// both funnel passing rows through here in row order, which is what makes
+/// them bit-identical.
 inline void AccumulateRow(const FusedScanArgs& args, uint32_t key, int64_t r,
                           AggState* state) {
   const int num_grouped = static_cast<int>(args.groups.size());
@@ -96,31 +146,10 @@ inline void AccumulateRow(const FusedScanArgs& args, uint32_t key, int64_t r,
     }
     for (int m = 0; m < num_measures; ++m) {
       state->acc[m].push_back(InitialAccumulator(args.measures[m].op));
-      state->cnt[m].push_back(0);
+      if (args.measures[m].op == AggOp::kAvg) state->cnt[m].push_back(0);
     }
   }
-  for (int m = 0; m < num_measures; ++m) {
-    const KernelMeasure& km = args.measures[m];
-    const double v = km.source != nullptr ? km.source[r] : 0.0;
-    switch (km.op) {
-      case AggOp::kSum:
-        state->acc[m][group] += v;
-        break;
-      case AggOp::kAvg:
-        state->acc[m][group] += v;
-        state->cnt[m][group] += 1;
-        break;
-      case AggOp::kMin:
-        state->acc[m][group] = std::min(state->acc[m][group], v);
-        break;
-      case AggOp::kMax:
-        state->acc[m][group] = std::max(state->acc[m][group], v);
-        break;
-      case AggOp::kCount:
-        state->acc[m][group] += 1;
-        break;
-    }
-  }
+  FoldMeasures(args, static_cast<uint32_t>(group), r, state->acc, state->cnt);
 }
 
 /// Whether the single-measure kSum fast path of the accumulate loops
@@ -250,7 +279,7 @@ inline void FoldLanes(const FusedScanArgs& args,
     int64_t count = 0;
     for (int l = 0; l < kAccLanes; ++l) count += lanes[m].count[l];
     state->acc[m].push_back(total);
-    state->cnt[m].push_back(count);
+    if (args.measures[m].op == AggOp::kAvg) state->cnt[m].push_back(count);
   }
 }
 
@@ -263,6 +292,11 @@ struct IsaScalar {
                           int64_t n, uint32_t* keys, uint64_t* bitmap) {
     std::memset(bitmap, 0, static_cast<size_t>((n + 63) >> 6) * 8);
     ComputeKeysScalar(cols, row0, 0, n, keys, bitmap);
+  }
+
+  static void ClaimKeys(const KeyPartition& part, uint32_t* keys, int64_t n,
+                        uint64_t* bitmap) {
+    ClaimKeysScalar(part, keys, 0, n, bitmap);
   }
 
   /// The scalar mirror of the vector lane accumulators: same row→lane
@@ -374,6 +408,11 @@ struct IsaSse42 {
       bitmap[i >> 6] |= pass << (i & 63);
     }
     ComputeKeysScalar(cols, row0, i, n, keys, bitmap);
+  }
+
+  static void ClaimKeys(const KeyPartition& part, uint32_t* keys, int64_t n,
+                        uint64_t* bitmap) {
+    ClaimKeysScalar(part, keys, 0, n, bitmap);
   }
 
   static int64_t LaneAccumulate(const FusedScanArgs& args, int64_t begin,
@@ -515,6 +554,44 @@ struct IsaAvx2 {
           ~_mm256_movemask_ps(_mm256_castsi256_ps(rej)));
     }
     ComputeKeysScalar(cols, row0, i, n, keys, bitmap);
+  }
+
+  /// KeyPartition::Claim eight keys wide: the same double-precision block
+  /// quotient (4 lanes per conversion), the ownership test folded into the
+  /// pass bits a whole bitmap byte at a time.
+  static void ClaimKeys(const KeyPartition& part, uint32_t* keys, int64_t n,
+                        uint64_t* bitmap) {
+    const __m256d inverse = _mm256_set1_pd(part.inverse());
+    const __m256d half = _mm256_set1_pd(0.5);
+    const __m256i parts = _mm256_set1_epi32(static_cast<int>(part.parts()));
+    const __m256i mine = _mm256_set1_epi32(static_cast<int>(part.part()));
+    const __m256i low =
+        _mm256_set1_epi32(static_cast<int>((1u << kKeyBlockShift) - 1));
+    uint8_t* bitmap_bytes = reinterpret_cast<uint8_t*>(bitmap);
+    int64_t i = 0;
+    for (; i + 8 <= n; i += 8) {
+      __m256i* at = reinterpret_cast<__m256i*>(keys + i);
+      const __m256i key = _mm256_loadu_si256(at);
+      const __m256i block = _mm256_srli_epi32(key, kKeyBlockShift);
+      const __m128i q_lo = _mm256_cvttpd_epi32(_mm256_mul_pd(
+          _mm256_add_pd(_mm256_cvtepi32_pd(_mm256_castsi256_si128(block)),
+                        half),
+          inverse));
+      const __m128i q_hi = _mm256_cvttpd_epi32(_mm256_mul_pd(
+          _mm256_add_pd(
+              _mm256_cvtepi32_pd(_mm256_extracti128_si256(block, 1)), half),
+          inverse));
+      const __m256i q = _mm256_set_m128i(q_hi, q_lo);
+      const __m256i owner =
+          _mm256_sub_epi32(block, _mm256_mullo_epi32(q, parts));
+      const __m256i owned = _mm256_cmpeq_epi32(owner, mine);
+      bitmap_bytes[i >> 3] &= static_cast<uint8_t>(
+          _mm256_movemask_ps(_mm256_castsi256_ps(owned)));
+      _mm256_storeu_si256(
+          at, _mm256_or_si256(_mm256_slli_epi32(q, kKeyBlockShift),
+                              _mm256_and_si256(key, low)));
+    }
+    ClaimKeysScalar(part, keys, i, n, bitmap);
   }
 
   static int64_t LaneAccumulate(const FusedScanArgs& args, int64_t begin,
@@ -703,6 +780,47 @@ void FusedScanImpl(const FusedScanArgs& args, int64_t begin, int64_t end,
   // Only the group lists survive to the merge; the dense array is per-
   // morsel scratch and would otherwise pin key_space × 4 bytes per partial.
   state->dense = std::vector<int32_t>();
+}
+
+/// The tier-generic owner-partitioned kernel body: per block, the tier's
+/// ComputeKeys, then (with more than one partition) its ClaimKeys narrows
+/// the pass bits to the owned rows and turns keys into slots, and the
+/// owned rows fold in row order through FoldMeasures. The single-sum shape
+/// keeps its accumulator and seen pointers in registers, with the same adds
+/// in the same order.
+template <class Isa>
+void OwnedScanImpl(const FusedScanArgs& args, int64_t begin, int64_t end,
+                   const KeyPartition& part, OwnedAggState* state) {
+  state->rows_visited += end - begin;
+  const bool single_sum = SingleSumShape(args);
+  const double* src = single_sum ? args.measures[0].source : nullptr;
+  double* acc = single_sum ? state->acc[0].data() : nullptr;
+  uint8_t* seen = state->seen.data();
+  int64_t passed = 0;
+  alignas(kSimdAlign) uint32_t keys[kKernelBlock];
+  alignas(kSimdAlign) uint64_t bitmap[kKernelBlock / 64];
+  for (int64_t block = begin; block < end; block += kKernelBlock) {
+    const int64_t n = std::min(kKernelBlock, end - block);
+    const int64_t words = (n + 63) >> 6;
+    Isa::ComputeKeys(args.columns, block, n, keys, bitmap);
+    for (int64_t w = 0; w < words; ++w) passed += std::popcount(bitmap[w]);
+    if (part.parts() > 1) Isa::ClaimKeys(part, keys, n, bitmap);
+    for (int64_t w = 0; w < words; ++w) {
+      uint64_t bits = bitmap[w];
+      while (bits != 0) {
+        const int64_t i = (w << 6) + std::countr_zero(bits);
+        bits &= bits - 1;
+        const uint32_t slot = keys[i];
+        seen[slot] = 1;
+        if (single_sum) {
+          acc[slot] += src[block + i];
+        } else {
+          FoldMeasures(args, slot, block + i, state->acc, state->cnt);
+        }
+      }
+    }
+  }
+  state->rows_passed += passed;
 }
 
 }  // namespace kernel_detail

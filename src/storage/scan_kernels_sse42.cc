@@ -14,6 +14,12 @@ void FusedScanSse42(const FusedScanArgs& args, int64_t begin, int64_t end,
                                                         state);
 }
 
+void OwnedScanSse42(const FusedScanArgs& args, int64_t begin, int64_t end,
+                    const KeyPartition& part, OwnedAggState* state) {
+  kernel_detail::OwnedScanImpl<kernel_detail::IsaSse42>(args, begin, end, part,
+                                                        state);
+}
+
 void MinMaxInt32Sse42(const int32_t* values, int64_t n, int32_t* min_out,
                       int32_t* max_out) {
   kernel_detail::IsaSse42::MinMax(values, n, min_out, max_out);

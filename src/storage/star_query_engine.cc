@@ -85,11 +85,11 @@ double InitialAccumulator(AggOp op) {
 }
 
 // Aggregates source rows [begin, end) into `state` (the generic hash
-// kernel, used when the mixed-radix key space exceeds kDenseKeyLimit —
-// the fused kernels of storage/scan_kernels.h cover everything smaller).
-// Keys are mixed-radix coordinate encodings offset by one, so they are
-// always >= 1 (FlatMap64's empty sentinel is 0) even for fully aggregated
-// queries.
+// kernel, for per-morsel scans whose mixed-radix key space exceeds
+// kDenseKeyLimit). Keys are mixed-radix coordinate encodings offset by one,
+// so they are always >= 1 (FlatMap64's empty sentinel is 0) even for fully
+// aggregated queries. The key index lives only as long as the range: the
+// merge re-keys partials from their stored coordinates.
 void AggregateRange(int64_t begin, int64_t end,
                     const std::vector<HierScanPlan*>& needed,
                     const std::vector<HierScanPlan*>& grouped,
@@ -97,6 +97,7 @@ void AggregateRange(int64_t begin, int64_t end,
                     AggState* state) {
   const int num_grouped = static_cast<int>(grouped.size());
   const int num_measures = static_cast<int>(measures.size());
+  FlatMap64 index(1024);
   std::array<MemberId, 16> row_groups;
   state->rows_visited += end - begin;
   for (int64_t r = begin; r < end; ++r) {
@@ -119,7 +120,7 @@ void AggregateRange(int64_t begin, int64_t end,
     ++state->rows_passed;
 
     bool inserted = false;
-    int32_t group = state->map.FindOrInsert(key, state->num_groups, &inserted);
+    int32_t group = index.FindOrInsert(key, state->num_groups, &inserted);
     if (inserted) {
       ++state->num_groups;
       for (int i = 0; i < num_grouped; ++i) {
@@ -127,7 +128,7 @@ void AggregateRange(int64_t begin, int64_t end,
       }
       for (int m = 0; m < num_measures; ++m) {
         state->acc[m].push_back(InitialAccumulator(measures[m].op));
-        state->cnt[m].push_back(0);
+        if (measures[m].op == AggOp::kAvg) state->cnt[m].push_back(0);
       }
     }
     for (int m = 0; m < num_measures; ++m) {
@@ -154,12 +155,12 @@ void AggregateRange(int64_t begin, int64_t end,
   }
 }
 
-// Folds `from` into `into` (the parallel path's merge step): groups are
-// re-keyed from their stored coordinates and accumulators combined per
-// operator.
+// Folds `from` into `into` (the per-morsel path's merge step): groups are
+// re-keyed from their stored coordinates through `index` (into's key →
+// group map) and accumulators combined per operator.
 void MergeAggStates(const std::vector<HierScanPlan*>& grouped,
                     const std::vector<MeasureScanPlan>& measures,
-                    const AggState& from, AggState* into) {
+                    const AggState& from, FlatMap64* index, AggState* into) {
   const int num_grouped = static_cast<int>(grouped.size());
   const int num_measures = static_cast<int>(measures.size());
   for (int32_t g = 0; g < from.num_groups; ++g) {
@@ -169,7 +170,7 @@ void MergeAggStates(const std::vector<HierScanPlan*>& grouped,
              (static_cast<uint64_t>(from.out_coords[i][g]) + 1);
     }
     bool inserted = false;
-    int32_t group = into->map.FindOrInsert(key, into->num_groups, &inserted);
+    int32_t group = index->FindOrInsert(key, into->num_groups, &inserted);
     if (inserted) {
       ++into->num_groups;
       for (int i = 0; i < num_grouped; ++i) {
@@ -177,7 +178,7 @@ void MergeAggStates(const std::vector<HierScanPlan*>& grouped,
       }
       for (int m = 0; m < num_measures; ++m) {
         into->acc[m].push_back(InitialAccumulator(measures[m].op));
-        into->cnt[m].push_back(0);
+        if (measures[m].op == AggOp::kAvg) into->cnt[m].push_back(0);
       }
     }
     for (int m = 0; m < num_measures; ++m) {
@@ -201,7 +202,7 @@ void MergeAggStates(const std::vector<HierScanPlan*>& grouped,
   }
 }
 
-// How one Aggregate() call is scheduled: which pool runs its morsels, how
+// How one Aggregate() call is scheduled: which pool runs its tasks, how
 // many participants it may occupy, and (fact scans only) the zone maps that
 // let whole morsels be skipped. `scanned`/`skipped` report back what
 // happened, for the engine's counters and the server stats frame.
@@ -212,10 +213,13 @@ struct MorselExec {
   uint64_t scanned = 0;
   uint64_t skipped = 0;
   // What Aggregate() actually ran, for spans and EXPLAIN ANALYZE: the SIMD
-  // tier (meaningful when `fused`), whether the dense fused kernel or the
-  // generic hash kernel did the work, and the scan's selectivity inputs.
+  // tier (meaningful when `fused`), whether a dense lane-table kernel or the
+  // generic hash kernel did the work, how many key partitions the owner-
+  // partitioned path split the key space into (0: it did not run), and the
+  // scan's selectivity inputs.
   SimdLevel simd = SimdLevel::kScalar;
   bool fused = false;
+  int partitions = 0;
   int64_t rows_visited = 0;
   int64_t rows_passed = 0;
 };
@@ -256,7 +260,10 @@ void CountKernelDispatch(const MorselExec& exec) {
 void AddKernelSpanAttrs(Span& span, const MorselExec& exec) {
   if (!span.active()) return;
   span.AddString("simd", exec.fused ? SimdLevelName(exec.simd) : "generic");
-  span.AddString("kernel", exec.fused ? "fused_dense" : "hash");
+  span.AddString("kernel", exec.partitions > 0 ? "partitioned_dense"
+                           : exec.fused        ? "fused_dense"
+                                               : "hash");
+  if (exec.partitions > 0) span.AddInt("partitions", exec.partitions);
   span.AddInt("rows_visited", exec.rows_visited);
   span.AddInt("rows_passed", exec.rows_passed);
   if (exec.rows_visited > 0) {
@@ -266,26 +273,26 @@ void AddKernelSpanAttrs(Span& span, const MorselExec& exec) {
   }
 }
 
-// Hash-aggregates `rows` source rows under the given hierarchy and measure
-// plans, producing the derived cube.
-//
-// The scan is fused and morsel-driven: rows are decomposed into
-// kMorselRows-sized morsels pulled dynamically by pool workers, each morsel
-// evaluated predicate-and-aggregate in a single pass into its own partial
-// state (no intermediate row-id vector), morsels whose zone maps prove the
-// predicate unsatisfiable skipped outright. Partials are merged in morsel
-// index order, so the floating-point reduction order — and therefore every
-// output bit — is a function of the data alone, identical across thread
-// counts and across runs.
-Result<Cube> Aggregate(int64_t rows, std::vector<HierScanPlan>& hiers,
-                       const std::vector<MeasureScanPlan>& measures,
-                       MorselExec* exec) {
-  // Assign radixes to the grouped hierarchies.
-  std::vector<HierScanPlan*> needed;
-  std::vector<HierScanPlan*> grouped;
+// Runs task(0) .. task(n - 1) on the scan's pool at up to `participants`
+// threads, or inline in index order when the scan has no pool.
+Status RunTasks(const MorselExec& exec, int64_t n, int participants,
+                const TaskPool::MorselFn& task) {
+  if (exec.pool != nullptr) {
+    return exec.pool->RunMorsels(n, participants, task);
+  }
+  for (int64_t i = 0; i < n; ++i) ASSESS_RETURN_NOT_OK(task(i));
+  return Status::OK();
+}
+
+// Assigns mixed-radix factors to the grouped hierarchies of `hiers`, in
+// order, and returns the key space (max key + 1). `needed` receives every
+// hierarchy, `grouped` the grouped ones.
+Result<uint64_t> AssignRadixes(std::vector<HierScanPlan>& hiers,
+                               std::vector<HierScanPlan*>* needed,
+                               std::vector<HierScanPlan*>* grouped) {
   uint64_t factor = 1;
   for (HierScanPlan& h : hiers) {
-    needed.push_back(&h);
+    needed->push_back(&h);
     if (!h.grouped) continue;
     h.radix = factor;
     uint64_t card = static_cast<uint64_t>(
@@ -297,88 +304,68 @@ Result<Cube> Aggregate(int64_t rows, std::vector<HierScanPlan>& hiers,
           "supported by the engine");
     }
     factor *= card;
-    grouped.push_back(&h);
+    grouped->push_back(&h);
   }
+  return factor + 1;
+}
 
-  const int num_grouped = static_cast<int>(grouped.size());
-  const int num_measures = static_cast<int>(measures.size());
-  auto make_state = [&]() {
-    AggState state;
-    state.out_coords.resize(num_grouped);
-    state.acc.resize(num_measures);
-    state.cnt.resize(num_measures);
-    return state;
-  };
-
-  // Kernel selection. The fused dense kernels apply when the mixed-radix
-  // key space fits kDenseKeyLimit (the reject-bit encoding and the dense
-  // key→group array both require it) and the dense array is not large
-  // relative to the scan (clearing key_space slots per morsel must stay
-  // negligible next to visiting the rows). Both inputs are properties of
-  // the query and data alone — never of the SIMD tier or thread count — so
-  // the kernel choice cannot break the bit-identical determinism contract.
-  const uint64_t key_space = factor + 1;
-  const bool use_fused =
-      key_space <= kDenseKeyLimit &&
-      static_cast<int64_t>(key_space) <= std::max<int64_t>(int64_t{4096}, rows);
-
-  std::vector<std::vector<uint32_t>> lane_tables;
-  FusedScanArgs fused_args;
-  FusedScanFn fused_fn = nullptr;
-  if (use_fused) {
-    exec->fused = true;
-    exec->simd = ActiveSimdLevel();
-    fused_fn = GetFusedScanKernel(exec->simd);
-    fused_args.key_space = static_cast<uint32_t>(key_space);
-    lane_tables.reserve(needed.size());
-    for (HierScanPlan* h : needed) {
-      std::vector<uint32_t> lane(static_cast<size_t>(h->code_domain), 0u);
-      const std::vector<MemberId>* gc =
-          h->grouped ? &h->group_code() : nullptr;
-      for (int64_t c = 0; c < h->code_domain; ++c) {
-        if (!h->pass.empty() && !h->pass[c]) {
-          lane[c] = kLaneReject;
-        } else if (gc != nullptr) {
-          lane[c] = static_cast<uint32_t>(h->radix) *
-                    (static_cast<uint32_t>((*gc)[c]) + 1u);
-        }
-      }
-      lane_tables.push_back(std::move(lane));
-      KernelColumn col;
-      col.packed = h->packed;
-      if (h->packed == nullptr) col.codes32 = h->codes;
-      col.lane = lane_tables.back().data();
-      fused_args.columns.push_back(col);
-      if (h->grouped) {
-        fused_args.groups.push_back(KernelGroup{
-            static_cast<uint32_t>(h->radix),
-            static_cast<uint32_t>(
-                h->hierarchy->LevelCardinality(h->group_level)) +
-                1u});
+// Lowers the plans into the dense kernels' lane tables (see
+// storage/scan_kernels.h) and their argument block. `key_space` must stay
+// below kLaneReject.
+void CompileLaneTables(const std::vector<HierScanPlan*>& needed,
+                       uint64_t key_space,
+                       const std::vector<MeasureScanPlan>& measures,
+                       std::vector<std::vector<uint32_t>>* lane_tables,
+                       FusedScanArgs* args) {
+  args->key_space = static_cast<uint32_t>(key_space);
+  lane_tables->reserve(needed.size());
+  for (HierScanPlan* h : needed) {
+    std::vector<uint32_t> lane(static_cast<size_t>(h->code_domain), 0u);
+    const std::vector<MemberId>* gc = h->grouped ? &h->group_code() : nullptr;
+    for (int64_t c = 0; c < h->code_domain; ++c) {
+      if (!h->pass.empty() && !h->pass[c]) {
+        lane[c] = kLaneReject;
+      } else if (gc != nullptr) {
+        lane[c] = static_cast<uint32_t>(h->radix) *
+                  (static_cast<uint32_t>((*gc)[c]) + 1u);
       }
     }
-    for (const MeasureScanPlan& m : measures) {
-      fused_args.measures.push_back(KernelMeasure{m.source, m.op});
+    lane_tables->push_back(std::move(lane));
+    KernelColumn col;
+    col.packed = h->packed;
+    if (h->packed == nullptr) col.codes32 = h->codes;
+    col.lane = lane_tables->back().data();
+    args->columns.push_back(col);
+    if (h->grouped) {
+      args->groups.push_back(KernelGroup{
+          static_cast<uint32_t>(h->radix),
+          static_cast<uint32_t>(
+              h->hierarchy->LevelCardinality(h->group_level)) +
+              1u});
     }
   }
+  for (const MeasureScanPlan& m : measures) {
+    args->measures.push_back(KernelMeasure{m.source, m.op});
+  }
+}
 
+// Zone-map pruning: the indexes of the morsels of [0, rows) a scan must
+// visit. A morsel is skippable when, for some predicated hierarchy, no code
+// in the morsel's [min, max] range passes. The per-hierarchy prefix sums
+// over the pass flags make that an O(1) check per (morsel, hierarchy);
+// building them costs one pass over the dimension rows, negligible next to
+// the fact scan they prune. Records the scanned/skipped counts in `exec`.
+std::vector<int64_t> SurvivingMorsels(const std::vector<HierScanPlan>& hiers,
+                                      int64_t rows, MorselExec* exec) {
   const int64_t num_morsels =
       rows == 0 ? 0 : (rows + kMorselRows - 1) / kMorselRows;
-
-  // Zone-map pruning: a morsel is skippable when, for some predicated
-  // hierarchy, no code in the morsel's [min, max] range passes. The
-  // per-hierarchy prefix sums over the pass flags make that an O(1) check
-  // per (morsel, hierarchy); building them costs one pass over the
-  // dimension rows, negligible next to the fact scan they prune.
-  std::vector<int64_t> work;
-  work.reserve(num_morsels);
+  struct Pruner {
+    const std::vector<ZoneRange>* zones = nullptr;
+    std::vector<int32_t> pass_prefix;
+  };
+  std::vector<Pruner> pruners;
   if (exec->zones != nullptr && num_morsels > 1) {
-    struct Pruner {
-      const std::vector<ZoneRange>* zones = nullptr;
-      std::vector<int32_t> pass_prefix;
-    };
-    std::vector<Pruner> pruners;
-    for (HierScanPlan& h : hiers) {
+    for (const HierScanPlan& h : hiers) {
       if (h.pass.empty() || h.fact_dim < 0) continue;
       Pruner pruner;
       pruner.zones = &exec->zones->dims[h.fact_dim];
@@ -390,93 +377,260 @@ Result<Cube> Aggregate(int64_t rows, std::vector<HierScanPlan>& hiers,
       }
       pruners.push_back(std::move(pruner));
     }
-    for (int64_t m = 0; m < num_morsels; ++m) {
-      bool runnable = true;
-      for (const Pruner& pruner : pruners) {
-        const ZoneRange& zone = (*pruner.zones)[m];
-        if (pruner.pass_prefix[zone.max + 1] -
-                pruner.pass_prefix[zone.min] ==
-            0) {
-          runnable = false;
-          break;
-        }
+  }
+  std::vector<int64_t> work;
+  work.reserve(num_morsels);
+  for (int64_t m = 0; m < num_morsels; ++m) {
+    bool runnable = true;
+    for (const Pruner& pruner : pruners) {
+      const ZoneRange& zone = (*pruner.zones)[m];
+      if (pruner.pass_prefix[zone.max + 1] - pruner.pass_prefix[zone.min] ==
+          0) {
+        runnable = false;
+        break;
       }
-      if (runnable) work.push_back(m);
     }
-  } else {
-    for (int64_t m = 0; m < num_morsels; ++m) work.push_back(m);
+    if (runnable) work.push_back(m);
   }
   exec->scanned = work.size();
   exec->skipped = static_cast<uint64_t>(num_morsels) - work.size();
+  return work;
+}
 
-  // One partial state per surviving morsel, filled by whichever pool
-  // participant claims it.
-  std::vector<AggState> partials;
-  partials.reserve(work.size());
-  for (size_t i = 0; i < work.size(); ++i) partials.push_back(make_state());
+// Constants of the aggregation-path choice (ChooseScanPath), from a sweep
+// of one grouped sum over a synthetic one-dimension star (uniform keys,
+// 3M facts, 2 participants pinned to 2 CPUs; DESIGN.md §9 has the table):
+//   - kOwnedMinKeys is the measured crossover: below it a per-morsel
+//     partial holds at most that many groups, the morsel-order merge is
+//     cheap, and computing each row's key once beats every partition
+//     recomputing it (64 keys: 4 ms per-morsel vs 16 ms partitioned; 4096:
+//     15 vs 15 ms; 32768: 69 vs 17 ms);
+//   - kOwnedRowsPerKey is a memory bound, not a time crossover: the
+//     partitioned path was still ahead at 1 row per key (400K keys over
+//     400K rows: 58 vs 11 ms), but its accumulators are sized by the key
+//     space, not by the groups that occur, so sparse key spaces large next
+//     to the scan stay on the per-morsel path, whose partials grow only
+//     with the rows.
+inline constexpr uint64_t kOwnedMinKeys = 4096;
+inline constexpr uint64_t kOwnedRowsPerKey = 4;
 
-  if (!work.empty()) {
-    auto task = [&](int64_t i) -> Status {
-      int64_t begin = work[i] * kMorselRows;
-      int64_t end = std::min(rows, begin + kMorselRows);
-      if (fused_fn != nullptr) {
-        fused_fn(fused_args, begin, end, &partials[i]);
-      } else {
-        AggregateRange(begin, end, needed, grouped, measures, &partials[i]);
-      }
-      return Status::OK();
-    };
-    if (exec->pool != nullptr) {
-      ASSESS_RETURN_NOT_OK(exec->pool->RunMorsels(
-          static_cast<int64_t>(work.size()), exec->max_threads, task));
-    } else {
-      for (size_t i = 0; i < work.size(); ++i) {
-        ASSESS_RETURN_NOT_OK(task(static_cast<int64_t>(i)));
-      }
+enum class ScanPath {
+  kMorselHash,   // per-morsel generic hash kernel, morsel-order merge
+  kMorselDense,  // per-morsel fused dense kernel, morsel-order merge
+  kOwned,        // owner-partitioned dense kernel, no merge
+};
+
+// Picks a scan's aggregation path from the key space, whether anything is
+// grouped, and the surviving morsels of a `rows`-row source — properties of
+// the query and data alone, never of the SIMD tier or the thread count, so
+// the choice cannot make output bits depend on either. The per-morsel path
+// stays where it wins: no group-by (the fixed-lane accumulators), a single
+// surviving morsel (its partial is the answer, nothing to merge), small key
+// spaces, and key spaces large relative to the rows (see the constants
+// above). The partitioned path also needs every key below kLaneReject.
+// Within the per-morsel path the fused dense kernel needs the key space
+// within kDenseKeyLimit and not large next to the scan (each morsel clears
+// a key-space-sized array); otherwise the generic hash kernel runs.
+ScanPath ChooseScanPath(uint64_t key_space, bool grouped,
+                        const std::vector<int64_t>& work, int64_t rows) {
+  if (grouped && work.size() > 1 && key_space >= kOwnedMinKeys &&
+      key_space <= kLaneReject) {
+    int64_t surviving_rows = 0;
+    for (int64_t m : work) {
+      surviving_rows +=
+          std::min(rows, (m + 1) * kMorselRows) - m * kMorselRows;
+    }
+    if (key_space * kOwnedRowsPerKey <=
+        static_cast<uint64_t>(surviving_rows)) {
+      return ScanPath::kOwned;
     }
   }
+  if (key_space <= kDenseKeyLimit &&
+      static_cast<int64_t>(key_space) <=
+          std::max<int64_t>(int64_t{4096}, rows)) {
+    return ScanPath::kMorselDense;
+  }
+  return ScanPath::kMorselHash;
+}
+
+AggState EmptyAggState(size_t num_grouped, size_t num_measures) {
+  AggState state;
+  state.out_coords.resize(num_grouped);
+  state.acc.resize(num_measures);
+  state.cnt.resize(num_measures);
+  return state;
+}
+
+// The per-morsel path's deterministic merge: always in morsel index order,
+// whichever participant filled each partial. A single partial is adopted
+// unchanged, which keeps sub-morsel scans bit-identical to a serial
+// row-at-a-time fold. Sums the partials' row counts into the result.
+AggState MergeInMorselOrder(const std::vector<HierScanPlan*>& grouped,
+                            const std::vector<MeasureScanPlan>& measures,
+                            std::vector<AggState>& partials) {
+  if (partials.size() == 1) return std::move(partials[0]);
+  AggState merged = EmptyAggState(grouped.size(), measures.size());
+  FlatMap64 index(1024);
   for (const AggState& partial : partials) {
-    exec->rows_visited += partial.rows_visited;
-    exec->rows_passed += partial.rows_passed;
+    MergeAggStates(grouped, measures, partial, &index, &merged);
+    merged.rows_visited += partial.rows_visited;
+    merged.rows_passed += partial.rows_passed;
   }
-  CountKernelDispatch(*exec);
+  return merged;
+}
 
-  // Deterministic merge: always in morsel index order. A single-morsel scan
-  // adopts its partial unchanged, which also keeps sub-morsel scans
-  // bit-identical to the pre-morsel serial engine.
-  AggState result_state;
-  if (work.size() == 1) {
-    result_state = std::move(partials[0]);
-  } else {
-    result_state = make_state();
-    for (const AggState& partial : partials) {
-      MergeAggStates(grouped, measures, partial, &result_state);
+// The owner-partitioned scan: the key space is split into one
+// KeyPartition per participant (see storage/scan_kernels.h), and one pool
+// task per partition walks the surviving morsels `work` in index order,
+// folding only the keys it owns. Every key therefore accumulates its rows
+// in row order — the same bits at every participant count and tier, and
+// the bits of a naive serial row-at-a-time fold — and nothing is merged:
+// groups are emitted by walking the key space in order, reading each key
+// from its owner. Row counts come from partition 0 (every partition visits
+// every row).
+Result<AggState> AggregateOwned(const FusedScanArgs& args,
+                                const std::vector<int64_t>& work, int64_t rows,
+                                MorselExec* exec) {
+  const uint32_t parts = static_cast<uint32_t>(
+      exec->pool != nullptr
+          ? std::clamp<int>(exec->max_threads, 1, kMaxKeyPartitions)
+          : 1);
+  exec->fused = true;
+  exec->simd = CompiledSimdLevel(ActiveSimdLevel());
+  exec->partitions = static_cast<int>(parts);
+  const OwnedScanFn scan = GetOwnedScanKernel(exec->simd);
+  std::vector<OwnedAggState> states(parts);
+  ASSESS_RETURN_NOT_OK(RunTasks(
+      *exec, parts, static_cast<int>(parts), [&](int64_t p) -> Status {
+        const KeyPartition part(static_cast<uint32_t>(p), parts);
+        OwnedAggState& state = states[p];
+        InitOwnedAggState(args, part, &state);
+        for (int64_t m : work) {
+          const int64_t begin = m * kMorselRows;
+          scan(args, begin, std::min(rows, begin + kMorselRows), part, &state);
+        }
+        return Status::OK();
+      }));
+
+  const size_t num_grouped = args.groups.size();
+  const size_t num_measures = args.measures.size();
+  AggState out = EmptyAggState(num_grouped, num_measures);
+  out.rows_visited = states[0].rows_visited;
+  out.rows_passed = states[0].rows_passed;
+  constexpr uint32_t kBlockKeys = 1u << kKeyBlockShift;
+  const uint32_t blocks = (args.key_space + kBlockKeys - 1) >> kKeyBlockShift;
+  uint32_t owner = 0;
+  uint32_t base = 0;  // owner's slot of the block's first key
+  for (uint32_t b = 0; b < blocks; ++b) {
+    const OwnedAggState& state = states[owner];
+    for (uint32_t j = 0; j < kBlockKeys; ++j) {
+      const uint32_t slot = base + j;
+      if (!state.seen[slot]) continue;
+      const uint32_t k0 = (b << kKeyBlockShift) + j - 1;
+      for (size_t g = 0; g < num_grouped; ++g) {
+        const KernelGroup& kg = args.groups[g];
+        out.out_coords[g].push_back(
+            static_cast<MemberId>((k0 / kg.radix) % kg.card1) - 1);
+      }
+      for (size_t m = 0; m < num_measures; ++m) {
+        out.acc[m].push_back(state.acc[m][slot]);
+        if (args.measures[m].op == AggOp::kAvg) {
+          out.cnt[m].push_back(state.cnt[m][slot]);
+        }
+      }
+      ++out.num_groups;
+    }
+    if (++owner == parts) {
+      owner = 0;
+      base += kBlockKeys;
     }
   }
+  return out;
+}
 
-  // Finalize averages.
+// The tail Aggregate and AggregateShared share: finalizes averages and
+// wraps the group lists into the derived cube.
+Cube FinishCube(const std::vector<HierScanPlan*>& grouped,
+                const std::vector<MeasureScanPlan>& measures, AggState state) {
+  const int num_measures = static_cast<int>(measures.size());
   for (int m = 0; m < num_measures; ++m) {
     if (measures[m].op != AggOp::kAvg) continue;
-    for (int32_t gi = 0; gi < result_state.num_groups; ++gi) {
-      result_state.acc[m][gi] =
-          result_state.cnt[m][gi] > 0
-              ? result_state.acc[m][gi] / result_state.cnt[m][gi]
-              : kNullMeasure;
+    for (int32_t gi = 0; gi < state.num_groups; ++gi) {
+      state.acc[m][gi] = state.cnt[m][gi] > 0
+                             ? state.acc[m][gi] / state.cnt[m][gi]
+                             : kNullMeasure;
     }
   }
-
   std::vector<LevelRef> out_levels;
-  out_levels.reserve(num_grouped);
+  out_levels.reserve(grouped.size());
   for (HierScanPlan* h : grouped) {
     out_levels.push_back(LevelRef{h->hierarchy, h->group_level});
   }
   std::vector<std::string> out_names;
   out_names.reserve(num_measures);
   for (const MeasureScanPlan& m : measures) out_names.push_back(m.name);
-  return Cube::FromColumns(std::move(out_levels),
-                           std::move(result_state.out_coords),
-                           std::move(out_names),
-                           std::move(result_state.acc));
+  return Cube::FromColumns(std::move(out_levels), std::move(state.out_coords),
+                           std::move(out_names), std::move(state.acc));
+}
+
+// Aggregates `rows` source rows under the given hierarchy and measure
+// plans, producing the derived cube.
+//
+// Morsels (kMorselRows-sized row ranges) whose zone maps prove the
+// predicate unsatisfiable are skipped outright; ChooseScanPath then picks
+// how the survivors are aggregated. On the owner-partitioned path each pool
+// task owns a share of the key space and folds its keys in row order
+// (AggregateOwned). On the per-morsel path pool workers pull morsels
+// dynamically, each evaluated predicate-and-aggregate in one pass into its
+// own partial (no intermediate row-id vector), and partials merge in
+// morsel index order. Either way every output bit is a function of the
+// data alone, identical across thread counts, tiers and runs.
+Result<Cube> Aggregate(int64_t rows, std::vector<HierScanPlan>& hiers,
+                       const std::vector<MeasureScanPlan>& measures,
+                       MorselExec* exec) {
+  std::vector<HierScanPlan*> needed;
+  std::vector<HierScanPlan*> grouped;
+  ASSESS_ASSIGN_OR_RETURN(const uint64_t key_space,
+                          AssignRadixes(hiers, &needed, &grouped));
+  const std::vector<int64_t> work = SurvivingMorsels(hiers, rows, exec);
+  const ScanPath path = ChooseScanPath(key_space, !grouped.empty(), work, rows);
+  std::vector<std::vector<uint32_t>> lane_tables;
+  FusedScanArgs args;
+  if (path != ScanPath::kMorselHash) {
+    CompileLaneTables(needed, key_space, measures, &lane_tables, &args);
+  }
+
+  AggState result;
+  if (path == ScanPath::kOwned) {
+    ASSESS_ASSIGN_OR_RETURN(result, AggregateOwned(args, work, rows, exec));
+  } else {
+    FusedScanFn fused_fn = nullptr;
+    if (path == ScanPath::kMorselDense) {
+      exec->fused = true;
+      exec->simd = CompiledSimdLevel(ActiveSimdLevel());
+      fused_fn = GetFusedScanKernel(exec->simd);
+    }
+    std::vector<AggState> partials(
+        work.size(), EmptyAggState(grouped.size(), measures.size()));
+    ASSESS_RETURN_NOT_OK(RunTasks(
+        *exec, static_cast<int64_t>(work.size()), exec->max_threads,
+        [&](int64_t i) -> Status {
+          const int64_t begin = work[i] * kMorselRows;
+          const int64_t end = std::min(rows, begin + kMorselRows);
+          if (fused_fn != nullptr) {
+            fused_fn(args, begin, end, &partials[i]);
+          } else {
+            AggregateRange(begin, end, needed, grouped, measures,
+                           &partials[i]);
+          }
+          return Status::OK();
+        }));
+    result = MergeInMorselOrder(grouped, measures, partials);
+  }
+  exec->rows_visited += result.rows_visited;
+  exec->rows_passed += result.rows_passed;
+  CountKernelDispatch(*exec);
+  return FinishCube(grouped, measures, std::move(result));
 }
 
 // One query's compiled fact-scan plan inside a shared scan.
@@ -486,16 +640,18 @@ struct ConsumerScan {
 };
 
 // The multi-consumer sibling of Aggregate(): one morsel pass over `rows`
-// fact rows feeds every consumer's accumulator set. Per morsel, each packed
-// FK column any fused consumer touches is decoded once into an int32
-// scratch buffer; every fused consumer then runs over the scratch codes
-// (begin-relative, measure sources shifted to match). The decoded codes are
-// exactly what the solo kernel would have read through PackedColumn::CodeAt,
-// the accumulation stays row-sequential per consumer, and each consumer's
-// partials merge in morsel index order — so every output is bit-identical
-// to running that consumer alone. Consumers whose key space exceeds the
-// dense limit fall back to the generic hash kernel at absolute rows,
-// sharing the pass over the morsel but not the gather.
+// fact rows feeds every per-morsel consumer's accumulator set. Per morsel,
+// each packed FK column any fused consumer touches is decoded once into an
+// int32 scratch buffer; every fused consumer then runs over the scratch
+// codes (begin-relative, measure sources shifted to match). The decoded
+// codes are exactly what the solo kernel would have read through
+// PackedColumn::CodeAt, the accumulation stays row-sequential per consumer,
+// and each consumer's partials merge in morsel index order — so every
+// output is bit-identical to running that consumer alone. Consumers whose
+// key space takes the hash kernel run it at absolute rows, sharing the pass
+// over the morsel but not the gather. Consumers ChooseScanPath sends to the
+// owner-partitioned path run AggregateOwned over the same surviving
+// morsels — the very routine a solo scan of theirs runs.
 //
 // All consumers must share one predicate conjunction (the caller's group
 // contract): the zone-pruned work list is computed from consumer 0 and is
@@ -515,15 +671,16 @@ Result<std::vector<Cube>> AggregateShared(int64_t rows,
                                           std::vector<ConsumerScan>& consumers,
                                           MorselExec* exec) {
   const int num_consumers = static_cast<int>(consumers.size());
+  if (num_consumers == 0) return std::vector<Cube>();
 
   struct Compiled {
     std::vector<HierScanPlan*> needed;
     std::vector<HierScanPlan*> grouped;
+    ScanPath path = ScanPath::kMorselHash;
     std::vector<std::vector<uint32_t>> lane_tables;
     FusedScanArgs args;
-    bool fused = false;
-    // Eligible for the shared-selection compacted path (fused AND grouped;
-    // see the bit-identity note above).
+    // Eligible for the shared-selection compacted path (per-morsel dense
+    // AND grouped; see the bit-identity note above).
     bool compact = false;
     // Per fused column: index into the shared decode list, or -1 when the
     // source is already int32 (then codes32 is shifted by the morsel base).
@@ -536,51 +693,33 @@ Result<std::vector<Cube>> AggregateShared(int64_t rows,
     std::vector<int> msource_of;
   };
   std::vector<Compiled> compiled(num_consumers);
-  std::vector<const PackedColumn*> decode;  // shared gather list
+  std::vector<uint64_t> key_spaces(num_consumers);
+  for (int c = 0; c < num_consumers; ++c) {
+    ASSESS_ASSIGN_OR_RETURN(
+        key_spaces[c], AssignRadixes(consumers[c].hiers, &compiled[c].needed,
+                                     &compiled[c].grouped));
+  }
+  // Zone-map pruning over consumer 0's predicated hierarchies; the shared
+  // predicate conjunction makes the surviving work list right for everyone.
+  const std::vector<int64_t> work =
+      SurvivingMorsels(consumers[0].hiers, rows, exec);
 
+  std::vector<const PackedColumn*> decode;  // shared gather list
+  // The consumers the morsel pass serves; the first of them accounts the
+  // scan's selectivity.
+  std::vector<int> morsel_consumers;
+  bool any_fused = false;
   for (int c = 0; c < num_consumers; ++c) {
     Compiled& comp = compiled[c];
-    uint64_t factor = 1;
-    for (HierScanPlan& h : consumers[c].hiers) {
-      comp.needed.push_back(&h);
-      if (!h.grouped) continue;
-      h.radix = factor;
-      uint64_t card = static_cast<uint64_t>(
-                          h.hierarchy->LevelCardinality(h.group_level)) +
-                      1;
-      if (factor > (uint64_t{1} << 62) / std::max<uint64_t>(card, 1)) {
-        return Status::NotSupported(
-            "group-by space exceeds 2^62 coordinates; no such schema is "
-            "supported by the engine");
-      }
-      factor *= card;
-      comp.grouped.push_back(&h);
-    }
-    const uint64_t key_space = factor + 1;
-    comp.fused = key_space <= kDenseKeyLimit &&
-                 static_cast<int64_t>(key_space) <=
-                     std::max<int64_t>(int64_t{4096}, rows);
-    if (!comp.fused) continue;
-    comp.args.key_space = static_cast<uint32_t>(key_space);
-    comp.lane_tables.reserve(comp.needed.size());
+    comp.path = ChooseScanPath(key_spaces[c], !comp.grouped.empty(), work,
+                               rows);
+    if (comp.path != ScanPath::kOwned) morsel_consumers.push_back(c);
+    if (comp.path == ScanPath::kMorselHash) continue;
+    CompileLaneTables(comp.needed, key_spaces[c], consumers[c].measures,
+                      &comp.lane_tables, &comp.args);
+    if (comp.path == ScanPath::kOwned) continue;
+    any_fused = true;
     for (HierScanPlan* h : comp.needed) {
-      std::vector<uint32_t> lane(static_cast<size_t>(h->code_domain), 0u);
-      const std::vector<MemberId>* gc =
-          h->grouped ? &h->group_code() : nullptr;
-      for (int64_t code = 0; code < h->code_domain; ++code) {
-        if (!h->pass.empty() && !h->pass[code]) {
-          lane[code] = kLaneReject;
-        } else if (gc != nullptr) {
-          lane[code] = static_cast<uint32_t>(h->radix) *
-                       (static_cast<uint32_t>((*gc)[code]) + 1u);
-        }
-      }
-      comp.lane_tables.push_back(std::move(lane));
-      KernelColumn col;
-      col.packed = h->packed;
-      if (h->packed == nullptr) col.codes32 = h->codes;
-      col.lane = comp.lane_tables.back().data();
-      comp.args.columns.push_back(col);
       int scratch = -1;
       if (h->packed != nullptr) {
         for (size_t d = 0; d < decode.size(); ++d) {
@@ -592,25 +731,12 @@ Result<std::vector<Cube>> AggregateShared(int64_t rows,
         }
       }
       comp.scratch_of.push_back(scratch);
-      if (h->grouped) {
-        comp.args.groups.push_back(KernelGroup{
-            static_cast<uint32_t>(h->radix),
-            static_cast<uint32_t>(
-                h->hierarchy->LevelCardinality(h->group_level)) +
-                1u});
-      }
-    }
-    for (const MeasureScanPlan& m : consumers[c].measures) {
-      comp.args.measures.push_back(KernelMeasure{m.source, m.op});
     }
   }
-
-  bool any_fused = false;
-  for (const Compiled& comp : compiled) any_fused |= comp.fused;
   FusedScanFn fused_fn = nullptr;
   if (any_fused) {
     exec->fused = true;
-    exec->simd = ActiveSimdLevel();
+    exec->simd = CompiledSimdLevel(ActiveSimdLevel());
     fused_fn = GetFusedScanKernel(exec->simd);
   }
 
@@ -628,10 +754,11 @@ Result<std::vector<Cube>> AggregateShared(int64_t rows,
   std::vector<const double*> msources;   // measure sources to compact
   bool any_compact = false;
   for (Compiled& comp : compiled) {
-    comp.compact = comp.fused && !comp.args.groups.empty();
+    comp.compact =
+        comp.path == ScanPath::kMorselDense && !comp.args.groups.empty();
     any_compact |= comp.compact;
   }
-  if (any_compact && num_consumers > 0) {
+  if (any_compact) {
     for (HierScanPlan& h : consumers[0].hiers) {
       if (h.pass.empty()) continue;
       SelColumn sc;
@@ -692,73 +819,21 @@ Result<std::vector<Cube>> AggregateShared(int64_t rows,
   std::vector<uint8_t> decode_full(decode.size(), any_compact ? 0 : 1);
   if (any_compact) {
     for (const Compiled& comp : compiled) {
-      if (!comp.fused || comp.compact) continue;
+      if (comp.path != ScanPath::kMorselDense || comp.compact) continue;
       for (int idx : comp.scratch_of) {
         if (idx >= 0) decode_full[idx] = 1;
       }
     }
   }
 
-  const int64_t num_morsels =
-      rows == 0 ? 0 : (rows + kMorselRows - 1) / kMorselRows;
-
-  // Zone-map pruning over consumer 0's predicated hierarchies; the shared
-  // predicate conjunction makes the surviving work list right for everyone.
-  std::vector<int64_t> work;
-  work.reserve(num_morsels);
-  if (exec->zones != nullptr && num_morsels > 1 && num_consumers > 0) {
-    struct Pruner {
-      const std::vector<ZoneRange>* zones = nullptr;
-      std::vector<int32_t> pass_prefix;
-    };
-    std::vector<Pruner> pruners;
-    for (HierScanPlan& h : consumers[0].hiers) {
-      if (h.pass.empty() || h.fact_dim < 0) continue;
-      Pruner pruner;
-      pruner.zones = &exec->zones->dims[h.fact_dim];
-      pruner.pass_prefix.resize(h.pass.size() + 1);
-      pruner.pass_prefix[0] = 0;
-      for (size_t i = 0; i < h.pass.size(); ++i) {
-        pruner.pass_prefix[i + 1] =
-            pruner.pass_prefix[i] + (h.pass[i] ? 1 : 0);
-      }
-      pruners.push_back(std::move(pruner));
-    }
-    for (int64_t m = 0; m < num_morsels; ++m) {
-      bool runnable = true;
-      for (const Pruner& pruner : pruners) {
-        const ZoneRange& zone = (*pruner.zones)[m];
-        if (pruner.pass_prefix[zone.max + 1] -
-                pruner.pass_prefix[zone.min] ==
-            0) {
-          runnable = false;
-          break;
-        }
-      }
-      if (runnable) work.push_back(m);
-    }
-  } else {
-    for (int64_t m = 0; m < num_morsels; ++m) work.push_back(m);
-  }
-  exec->scanned = work.size();
-  exec->skipped = static_cast<uint64_t>(num_morsels) - work.size();
-
-  auto make_state = [](const Compiled& comp, const ConsumerScan& consumer) {
-    AggState state;
-    state.out_coords.resize(comp.grouped.size());
-    state.acc.resize(consumer.measures.size());
-    state.cnt.resize(consumer.measures.size());
-    return state;
-  };
   std::vector<std::vector<AggState>> partials(num_consumers);
-  for (int c = 0; c < num_consumers; ++c) {
-    partials[c].reserve(work.size());
-    for (size_t i = 0; i < work.size(); ++i) {
-      partials[c].push_back(make_state(compiled[c], consumers[c]));
-    }
+  for (int c : morsel_consumers) {
+    partials[c].assign(work.size(),
+                       EmptyAggState(compiled[c].grouped.size(),
+                                     consumers[c].measures.size()));
   }
 
-  if (!work.empty()) {
+  if (!morsel_consumers.empty() && !work.empty()) {
     auto task = [&](int64_t i) -> Status {
       const int64_t begin = work[i] * kMorselRows;
       const int64_t end = std::min(rows, begin + kMorselRows);
@@ -863,9 +938,9 @@ Result<std::vector<Cube>> AggregateShared(int64_t rows,
           }
         }
       }
-      for (int c = 0; c < num_consumers; ++c) {
+      for (int c : morsel_consumers) {
         const Compiled& comp = compiled[c];
-        if (comp.fused && comp.compact && any_compact) {
+        if (comp.compact) {
           if (n_pass > 0) {
             FusedScanArgs args = comp.args;
             for (size_t j = 0; j < args.columns.size(); ++j) {
@@ -882,13 +957,13 @@ Result<std::vector<Cube>> AggregateShared(int64_t rows,
             }
             fused_fn(args, 0, n_pass, &partials[c][i]);
           }
-          if (c == 0) {
+          if (c == morsel_consumers[0]) {
             // Selectivity truth: the shared test visited every row; the
             // kernel only saw the survivors.
-            partials[0][i].rows_visited += n - n_pass;
-            partials[0][i].rows_passed = n_pass;
+            partials[c][i].rows_visited += n - n_pass;
+            partials[c][i].rows_passed = n_pass;
           }
-        } else if (comp.fused) {
+        } else if (comp.path == ScanPath::kMorselDense) {
           FusedScanArgs args = comp.args;
           for (size_t j = 0; j < args.columns.size(); ++j) {
             if (comp.scratch_of[j] >= 0) {
@@ -909,61 +984,36 @@ Result<std::vector<Cube>> AggregateShared(int64_t rows,
       }
       return Status::OK();
     };
-    if (exec->pool != nullptr) {
-      ASSESS_RETURN_NOT_OK(exec->pool->RunMorsels(
-          static_cast<int64_t>(work.size()), exec->max_threads, task));
-    } else {
-      for (size_t i = 0; i < work.size(); ++i) {
-        ASSESS_RETURN_NOT_OK(task(static_cast<int64_t>(i)));
-      }
-    }
+    ASSESS_RETURN_NOT_OK(RunTasks(*exec, static_cast<int64_t>(work.size()),
+                                  exec->max_threads, task));
   }
-  // Selectivity accounting from consumer 0: the gather is shared, so the
+
+  // Consumers on the owner-partitioned path, each through the routine its
+  // solo scan runs.
+  std::vector<AggState> states(num_consumers);
+  for (int c = 0; c < num_consumers; ++c) {
+    if (compiled[c].path != ScanPath::kOwned) continue;
+    ASSESS_ASSIGN_OR_RETURN(states[c],
+                            AggregateOwned(compiled[c].args, work, rows, exec));
+  }
+  for (int c : morsel_consumers) {
+    states[c] =
+        MergeInMorselOrder(compiled[c].grouped, consumers[c].measures,
+                           partials[c]);
+  }
+  // Selectivity accounting from one consumer: the gather is shared, so the
   // scan visits each surviving row once regardless of consumer count.
-  if (num_consumers > 0) {
-    for (const AggState& partial : partials[0]) {
-      exec->rows_visited += partial.rows_visited;
-      exec->rows_passed += partial.rows_passed;
-    }
-  }
+  const int accounting =
+      morsel_consumers.empty() ? 0 : morsel_consumers[0];
+  exec->rows_visited += states[accounting].rows_visited;
+  exec->rows_passed += states[accounting].rows_passed;
   CountKernelDispatch(*exec);
 
   std::vector<Cube> out;
   out.reserve(num_consumers);
   for (int c = 0; c < num_consumers; ++c) {
-    const Compiled& comp = compiled[c];
-    const std::vector<MeasureScanPlan>& measures = consumers[c].measures;
-    const int num_measures = static_cast<int>(measures.size());
-    AggState result_state;
-    if (work.size() == 1) {
-      result_state = std::move(partials[c][0]);
-    } else {
-      result_state = make_state(comp, consumers[c]);
-      for (const AggState& partial : partials[c]) {
-        MergeAggStates(comp.grouped, measures, partial, &result_state);
-      }
-    }
-    for (int m = 0; m < num_measures; ++m) {
-      if (measures[m].op != AggOp::kAvg) continue;
-      for (int32_t gi = 0; gi < result_state.num_groups; ++gi) {
-        result_state.acc[m][gi] =
-            result_state.cnt[m][gi] > 0
-                ? result_state.acc[m][gi] / result_state.cnt[m][gi]
-                : kNullMeasure;
-      }
-    }
-    std::vector<LevelRef> out_levels;
-    out_levels.reserve(comp.grouped.size());
-    for (HierScanPlan* h : comp.grouped) {
-      out_levels.push_back(LevelRef{h->hierarchy, h->group_level});
-    }
-    std::vector<std::string> out_names;
-    out_names.reserve(num_measures);
-    for (const MeasureScanPlan& m : measures) out_names.push_back(m.name);
-    out.push_back(Cube::FromColumns(std::move(out_levels),
-                                    std::move(result_state.out_coords),
-                                    std::move(out_names),
-                                    std::move(result_state.acc)));
+    out.push_back(FinishCube(compiled[c].grouped, consumers[c].measures,
+                             std::move(states[c])));
   }
   return out;
 }
@@ -1571,7 +1621,7 @@ Result<int64_t> StarQueryEngine::MaterializeView(
   for (int m = 0; m < schema.measure_count(); ++m) query.measures.push_back(m);
 
   // Build the view from base data only (never from another view), at this
-  // engine's parallelism — the morsel merge keeps it deterministic.
+  // engine's parallelism — the scan is deterministic at every thread count.
   StarQueryEngine base_engine(db_, /*use_views=*/false, threads_);
   ASSESS_ASSIGN_OR_RETURN(Cube data, base_engine.ExecuteInternal(*bound, query));
   int64_t rows = data.NumRows();

@@ -103,9 +103,9 @@ class StarQueryEngine {
   /// without a result cache, so direct uses (microbenches, equivalence
   /// tests, view materialization) keep measuring and exercising raw scans.
   /// `threads` > 1 lets large scans occupy that many participants of the
-  /// process-wide TaskPool (morsel-driven; partials merged in morsel order,
-  /// so results are bit-identical to the serial path at every thread
-  /// count).
+  /// process-wide TaskPool (key-partitioned or morsel-driven, see
+  /// DESIGN.md §7; results are bit-identical to the serial path at every
+  /// thread count).
   explicit StarQueryEngine(const StarDatabase* db, bool use_views = true,
                            int threads = 1);
 
@@ -146,11 +146,13 @@ class StarQueryEngine {
   /// query in `queries` — all on one cube, all with the same canonical
   /// predicate conjunction, group-bys free to differ — in a single fused
   /// morsel pass over the fact table. Each packed FK column is gathered once
-  /// per morsel and feeds every consumer's accumulator set; per-consumer
-  /// partials merge in morsel index order, so each result is bit-identical
-  /// to running that query alone through Execute() against the same
-  /// snapshot. Results are inserted into the result cache (when enabled)
-  /// and returned in input order.
+  /// per morsel and feeds every per-morsel consumer's accumulator set, whose
+  /// partials merge in morsel index order; consumers over the owner-
+  /// partitioned crossover run the key-partitioned routine a solo scan of
+  /// theirs runs. Either way each result is bit-identical to running that
+  /// query alone through Execute() against the same snapshot. Results are
+  /// inserted into the result cache (when enabled) and returned in input
+  /// order.
   ///
   /// `pinned_epoch` is the fact epoch the batch planned against; when
   /// nonzero and the table has advanced past it, Unavailable is returned

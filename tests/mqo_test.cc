@@ -112,6 +112,12 @@ class SharedScanTest : public ::testing::Test {
 
 TEST_F(SharedScanTest, BitIdenticalToSoloExecute) {
   std::vector<CubeQuery> queries = CorrelatedBatch();
+  // One consumer over the owner-partitioned crossover: month x customer is
+  // 25 x 201 + 1 = 5026 keys over ~200K surviving rows, so both the shared
+  // scan and the solo reference aggregate it by key partition.
+  queries.push_back(Query({"month", "customer"},
+                          {{3, 2, PredicateOp::kIn, Countries(3)}},
+                          {"storeSales", "quantity"}));
 
   EngineOptions options;
   options.use_views = false;

@@ -4,13 +4,18 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
 #include <cmath>
 #include <cstring>
+#include <limits>
 #include <thread>
 
 #include "assess/session.h"
 #include "common/rng.h"
+#include "common/simd.h"
 #include "common/task_pool.h"
+#include "obs/trace.h"
 #include "ssb/ssb_generator.h"
 #include "ssb/workload.h"
 #include "storage/star_query_engine.h"
@@ -37,8 +42,8 @@ void ExpectCellsNear(const Cube& expected, const Cube& actual,
 }
 
 // Coordinate -> raw bit pattern of one measure, for *bit-identical*
-// comparison: the morsel-order merge promises the same output bits at every
-// thread count, stronger than ExpectCellsNear's ulp tolerance.
+// comparison: the engine promises the same output bits at every thread
+// count, stronger than ExpectCellsNear's ulp tolerance.
 std::map<std::vector<std::string>, uint64_t> BitMap(
     const Cube& cube, const std::string& measure) {
   std::map<std::vector<std::string>, uint64_t> out;
@@ -188,8 +193,9 @@ TEST_F(ParallelEngineTest, FullAssessPipelineUnderParallelEngine) {
 TEST_F(ParallelEngineTest, BitIdenticalAcrossThreadCountsAndRuns) {
   // The determinism contract: every output bit is a function of the data
   // alone. threads=1, threads=2 and threads=8 — and repeated runs of each —
-  // must agree exactly, not just within float tolerance, because partials
-  // are merged in morsel index order regardless of which thread filled them.
+  // must agree exactly, not just within float tolerance: each key folds in
+  // row order by its owning partition, or morsel partials merge in morsel
+  // index order, regardless of which thread did the work.
   const std::vector<std::vector<std::string>> group_bys = {
       {"part"}, {"c_nation", "s_region"}, {}};
   for (const auto& by : group_bys) {
@@ -338,6 +344,243 @@ TEST_F(ParallelEngineTest, ConcurrentQueriesShareOnePool) {
     EXPECT_EQ(mismatches[c], 0) << "client " << c;
   }
   EXPECT_EQ(pool->stats().queue_depth, 0u);
+}
+
+// ---------------------------------------------------------------------------
+// The engine against a naive reference evaluator, bit for bit.
+// ---------------------------------------------------------------------------
+
+// A star of two-level dimensions (fine member == fact code, coarse parent
+// drawn at random) whose raw codes and measure values the reference reads
+// directly. Measures: one per aggregation operator, all fed the same value.
+struct RefStar {
+  std::unique_ptr<StarDatabase> db;
+  std::shared_ptr<CubeSchema> schema;
+  std::vector<std::vector<int32_t>> fks;  // [dim][row]
+  std::vector<double> values;             // [row]
+};
+
+RefStar BuildRefStar(uint64_t seed, const std::vector<int>& fine,
+                     const std::vector<int>& coarse, int64_t rows,
+                     bool integer_values) {
+  Rng rng(seed);
+  RefStar star;
+  star.schema = std::make_shared<CubeSchema>("R");
+  std::vector<DimensionTable> dims;
+  const int num_dims = static_cast<int>(fine.size());
+  for (int d = 0; d < num_dims; ++d) {
+    const std::string tag = std::to_string(d);
+    auto hier = std::make_shared<Hierarchy>("D" + tag);
+    hier->AddLevel("d" + tag + "_fine");
+    hier->AddLevel("d" + tag + "_coarse");
+    for (int c = 0; c < coarse[d]; ++c) {
+      hier->AddMember(1, "c" + tag + "_" + std::to_string(c));
+    }
+    DimensionTable dim("D" + tag, hier);
+    for (int f = 0; f < fine[d]; ++f) {
+      MemberId m = hier->AddMember(0, "f" + tag + "_" + std::to_string(f));
+      MemberId parent = static_cast<MemberId>(rng.Uniform(coarse[d]));
+      hier->SetParent(0, m, parent);
+      dim.AddRow({m, parent});
+    }
+    star.schema->AddHierarchy(hier);
+    dims.push_back(std::move(dim));
+  }
+  star.schema->AddMeasure({"s", AggOp::kSum});
+  star.schema->AddMeasure({"a", AggOp::kAvg});
+  star.schema->AddMeasure({"lo", AggOp::kMin});
+  star.schema->AddMeasure({"hi", AggOp::kMax});
+  star.schema->AddMeasure({"n", AggOp::kCount});
+  FactTable facts("R", num_dims, 5);
+  facts.Reserve(rows);
+  star.fks.assign(num_dims, std::vector<int32_t>(rows));
+  star.values.resize(rows);
+  std::vector<int32_t> row_fks(num_dims);
+  for (int64_t r = 0; r < rows; ++r) {
+    for (int d = 0; d < num_dims; ++d) {
+      row_fks[d] = static_cast<int32_t>(rng.Uniform(fine[d]));
+      star.fks[d][r] = row_fks[d];
+    }
+    const double v = integer_values
+                         ? static_cast<double>(rng.Uniform(2001)) - 1000.0
+                         : rng.NextDouble() * 1000.0 - 500.0;
+    star.values[r] = v;
+    facts.AddRow(row_fks, {v, v, v, v, v});
+  }
+  star.db = std::make_unique<StarDatabase>();
+  EXPECT_TRUE(star.db
+                  ->Register("R", std::make_unique<BoundCube>(
+                                      star.schema, std::move(dims),
+                                      std::move(facts)))
+                  .ok());
+  return star;
+}
+
+// The reference: every row, in row order, tested against the predicates
+// and folded into a std::map keyed by its group coordinates — no morsels,
+// lanes, kernels, pool or merge. `levels[d]` is the grouped level of
+// dimension d (-1: not grouped); `pins` restrict (dim, level) to a member.
+struct Pin {
+  int dim;
+  int level;
+  MemberId member;
+};
+
+// Cells as (packed coordinates, bits of s/a/lo/hi/n), sorted by
+// coordinates: 16 bits per grouped level (every test level has fewer
+// members).
+using CellBits =
+    std::vector<std::pair<uint64_t, std::array<uint64_t, 5>>>;
+
+std::array<uint64_t, 5> Bits(const std::array<double, 5>& values) {
+  std::array<uint64_t, 5> bits;
+  std::memcpy(bits.data(), values.data(), sizeof(bits));
+  return bits;
+}
+
+CellBits NaiveBits(
+    const RefStar& star, const std::vector<int>& levels,
+    const std::vector<Pin>& pins) {
+  struct Acc {
+    double s = 0.0, a = 0.0, n = 0.0;
+    double lo = std::numeric_limits<double>::infinity();
+    double hi = -std::numeric_limits<double>::infinity();
+    int64_t a_count = 0;
+  };
+  auto member = [&](int d, int64_t r, int level) {
+    const MemberId fine = star.fks[d][r];
+    return level == 0 ? fine
+                      : star.schema->hierarchy(d).RollUpMember(0, fine, level);
+  };
+  std::map<uint64_t, Acc> cells;
+  for (size_t r = 0; r < star.values.size(); ++r) {
+    bool pass = true;
+    for (const Pin& pin : pins) {
+      pass &= member(pin.dim, r, pin.level) == pin.member;
+    }
+    if (!pass) continue;
+    uint64_t coord = 0;
+    int shift = 0;
+    for (size_t d = 0; d < levels.size(); ++d) {
+      if (levels[d] < 0) continue;
+      coord |= static_cast<uint64_t>(member(d, r, levels[d])) << shift;
+      shift += 16;
+    }
+    Acc& acc = cells[coord];
+    const double v = star.values[r];
+    acc.s += v;
+    acc.a += v;
+    acc.a_count += 1;
+    acc.lo = std::min(acc.lo, v);
+    acc.hi = std::max(acc.hi, v);
+    acc.n += 1;
+  }
+  CellBits out;
+  for (const auto& [coord, acc] : cells) {
+    out.emplace_back(coord, Bits({acc.s, acc.a / acc.a_count, acc.lo,
+                                  acc.hi, acc.n}));
+  }
+  return out;
+}
+
+TEST(NaiveReferenceTest, EngineMatchesRowOrderFoldBitForBit) {
+  // Every case spans >= 3 morsels unless it is the single-morsel case. The
+  // owner-partitioned path and single-morsel scans accumulate each key in
+  // row order, so they must match the reference on arbitrary doubles; the
+  // per-morsel path merges morsel partials, so its cases use integer
+  // values (exact under any summation order). `kernel` is the path the
+  // scan span must report.
+  struct Case {
+    const char* name;
+    std::vector<int> fine, coarse;
+    int64_t rows;
+    bool integer_values;
+    std::vector<int> levels;
+    std::vector<Pin> pins;
+    const char* kernel;
+  };
+  const int64_t kRows = 3 * kMorselRows + 777;
+  const std::vector<Case> cases = {
+      {"below the crossover", {20, 30}, {3, 4}, kRows, true, {0, 0}, {},
+       "fused_dense"},
+      {"above the crossover", {100, 120}, {3, 4}, kRows, false, {0, 0}, {},
+       "partitioned_dense"},
+      {"large relative to the rows", {300, 400}, {3, 4}, kRows, true, {0, 0},
+       {}, "fused_dense"},
+      {"beyond the dense limit", {600, 500}, {3, 4}, kRows, true, {0, 0}, {},
+       "hash"},
+      {"sibling: last grouped hierarchy pinned", {2000, 60}, {3, 5}, kRows,
+       false, {0, 1}, {{1, 1, 2}}, "partitioned_dense"},
+      {"sibling: first grouped hierarchy pinned", {60, 2000}, {5, 3}, kRows,
+       false, {1, 0}, {{0, 1, 2}}, "partitioned_dense"},
+      {"three dims, predicate off the group-by", {150, 70, 40}, {4, 3, 5},
+       kRows, false, {0, -1, 0}, {{1, 1, 0}}, "partitioned_dense"},
+      {"single morsel", {100, 120}, {3, 4}, kMorselRows - 5, false, {0, 0},
+       {}, "fused_dense"},
+  };
+  const std::vector<std::string> measures = {"s", "a", "lo", "hi", "n"};
+  const int best = static_cast<int>(DetectCpuSimdLevel());
+  uint64_t seed = 0;
+  for (const Case& c : cases) {
+    RefStar star = BuildRefStar(++seed, c.fine, c.coarse, c.rows,
+                                c.integer_values);
+    std::vector<std::string> by;
+    for (size_t d = 0; d < c.levels.size(); ++d) {
+      if (c.levels[d] < 0) continue;
+      by.push_back(star.schema->hierarchy(d).level_name(c.levels[d]));
+    }
+    std::vector<Predicate> preds;
+    for (const Pin& pin : c.pins) {
+      const Hierarchy& hier = star.schema->hierarchy(pin.dim);
+      preds.push_back({pin.dim, pin.level, PredicateOp::kEquals,
+                       {hier.MemberName(pin.level, pin.member)}});
+    }
+    const CubeQuery query =
+        *CubeQuery::Make(*star.schema, "R", by, preds, measures);
+    const auto want = NaiveBits(star, c.levels, c.pins);
+    ASSERT_GT(want.size(), 0u) << c.name;
+    for (int level = 0; level <= best; ++level) {
+      for (int threads : {1, 2, 3, 4}) {
+        ForceSimdLevelForTest(level);
+        StarQueryEngine engine(star.db.get(), /*use_views=*/false, threads);
+        TraceContext trace;
+        Result<Cube> cube = [&] {
+          TraceContext::Scope scope(&trace);
+          return engine.Execute(query);
+        }();
+        ASSERT_TRUE(cube.ok()) << cube.status().ToString();
+        CellBits got;
+        for (int64_t r = 0; r < cube->NumRows(); ++r) {
+          uint64_t coord = 0;
+          for (int l = 0; l < cube->level_count(); ++l) {
+            coord |= static_cast<uint64_t>(cube->coord_column(l)[r])
+                     << (16 * l);
+          }
+          std::array<double, 5> values;
+          for (int m = 0; m < 5; ++m) values[m] = cube->measure_column(m)[r];
+          got.emplace_back(coord, Bits(values));
+        }
+        std::sort(got.begin(), got.end());
+        const auto diff = std::mismatch(want.begin(), want.end(),
+                                        got.begin(), got.end());
+        EXPECT_TRUE(diff.first == want.end() && diff.second == got.end())
+            << c.name << " tier=" << level << " threads=" << threads
+            << ": " << want.size() << " reference cells, " << got.size()
+            << " engine cells, first difference at reference cell "
+            << (diff.first - want.begin());
+        if (!kTracingCompiledIn) continue;
+        for (const SpanNode& node : trace.Snapshot()) {
+          if (node.name != "engine.scan") continue;
+          for (const TraceAttr& attr : node.attrs) {
+            if (attr.key == "kernel") {
+              EXPECT_EQ(attr.string_value, c.kernel) << c.name;
+            }
+          }
+        }
+      }
+    }
+    ForceSimdLevelForTest(-1);
+  }
 }
 
 }  // namespace

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <ostream>
 
 namespace assess {
 namespace {
@@ -188,6 +189,10 @@ struct BadStatement {
   const char* text;
   const char* reason;
 };
+
+// Prints a case by its reason; the default printer dumps the raw pointer
+// bytes, which would make the test names differ from one run to the next.
+void PrintTo(const BadStatement& bad, std::ostream* os) { *os << bad.reason; }
 
 class ParserErrorTest : public ::testing::TestWithParam<BadStatement> {};
 

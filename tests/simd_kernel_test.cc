@@ -189,7 +189,8 @@ TEST_F(SimdKernelTest, MinMaxAgreesAcrossTiersAndLengths) {
 
 // The core property: random cubes, random group-bys, random predicates,
 // every aggregation operator — scalar and every compiled-in vector tier,
-// at 1 and 4 threads, must agree on every output bit.
+// at 1, 2, 3 and 4 threads (3: a partition count that is not a power of
+// two), must agree on every output bit.
 TEST_F(SimdKernelTest, BitIdenticalAcrossTiersAndThreads) {
   const int best = static_cast<int>(DetectCpuSimdLevel());
   const std::vector<const char*> measures = {"s", "a", "lo", "hi", "n"};
@@ -245,7 +246,7 @@ TEST_F(SimdKernelTest, BitIdenticalAcrossTiersAndThreads) {
       for (const char* m : measures) want.push_back(BitMap(expected, m));
 
       for (int level = 0; level <= best; ++level) {
-        for (int threads : {1, 4}) {
+        for (int threads : {1, 2, 3, 4}) {
           ForceSimdLevelForTest(level);
           StarQueryEngine engine(star.db.get(), /*use_views=*/false,
                                  threads);
@@ -258,6 +259,45 @@ TEST_F(SimdKernelTest, BitIdenticalAcrossTiersAndThreads) {
         }
       }
       ForceSimdLevelForTest(-1);
+    }
+  }
+}
+
+// KeyPartition's double-precision block quotient must be exact division
+// for every block a key below kLaneReject can have, and Claim must hand
+// each key to exactly one partition at a slot inside that partition's
+// accumulators.
+TEST_F(SimdKernelTest, KeyPartitionDealsEveryKeyToOneOwner) {
+  Rng rng(5);
+  std::vector<uint32_t> blocks = {0, 1, 7, 8, 9, (1u << 28) - 1,
+                                  (1u << 28) - 2};
+  for (int i = 0; i < 20000; ++i) {
+    blocks.push_back(static_cast<uint32_t>(rng.Uniform(1u << 28)));
+  }
+  for (uint32_t parts : {1u, 2u, 3u, 4u, 5u, 7u, 64u, 97u, 1000u,
+                         kMaxKeyPartitions - 1, kMaxKeyPartitions}) {
+    const KeyPartition any(0, parts);
+    for (uint32_t b : blocks) {
+      ASSERT_EQ(any.BlockQuotient(b), b / parts) << b << " / " << parts;
+    }
+  }
+  const uint32_t key_space = 1000;
+  for (uint32_t parts : {1u, 2u, 3u, 5u, 8u}) {
+    std::vector<int> owners(key_space, 0);
+    for (uint32_t p = 0; p < parts; ++p) {
+      const KeyPartition part(p, parts);
+      std::vector<int> slot_uses(part.Slots(key_space), 0);
+      for (uint32_t key = 0; key < key_space; ++key) {
+        uint32_t slot = key;
+        if (!part.Claim(&slot)) continue;
+        ++owners[key];
+        ASSERT_LT(slot, slot_uses.size());
+        EXPECT_EQ(++slot_uses[slot], 1) << "slot reused, parts=" << parts;
+        EXPECT_EQ((key >> kKeyBlockShift) % parts, p);
+      }
+    }
+    for (uint32_t key = 0; key < key_space; ++key) {
+      EXPECT_EQ(owners[key], 1) << "key " << key << " parts=" << parts;
     }
   }
 }
